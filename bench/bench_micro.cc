@@ -268,6 +268,55 @@ double time_cancel_churn_ns(int ops) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / ops;
 }
 
+// Both lanes over a backlog, the shape of a sharded fleet domain: 50,000
+// pending far-future timeouts, and 64 request chains in which a regular
+// event sends (a delivery 100-600 us out, plus a cancel-and-rearm of its
+// 400 ms timeout) and the delivery's handler schedules the next step 5-50
+// us after it fires, below the regular lane's head.
+double time_two_lane_ns(int events) {
+  constexpr int kBacklog = 50'000;
+  constexpr int kChains = 64;
+  struct World {
+    sim::Simulator simulator;
+    Rng rng{5};
+    std::vector<sim::EventId> timeout;
+    std::uint64_t next_key{0};
+    void step(int chain) {
+      simulator.cancel(timeout[chain]);
+      timeout[chain] = simulator.schedule_after(msec(400), [] {});
+      simulator.schedule_delivery(
+          simulator.now() + 100 + static_cast<SimTime>(rng.uniform_int(0, 500)),
+          sim::Simulator::DeliveryKey{static_cast<std::uint64_t>(chain),
+                                      next_key++},
+          [this, chain] {
+            simulator.schedule_after(
+                5 + static_cast<SimTime>(rng.uniform_int(0, 45)),
+                [this, chain] { step(chain); });
+          });
+    }
+  };
+  World world;
+  world.timeout.assign(kChains, sim::kInvalidEvent);
+  for (int i = 0; i < kBacklog; ++i) {
+    world.simulator.schedule_at(
+        sec(10) + static_cast<SimTime>(world.rng.uniform_int(0, 50'000'000)),
+        [] {});
+  }
+  for (int c = 0; c < kChains; ++c) {
+    world.simulator.schedule_at(c, [&world, c] { world.step(c); });
+  }
+  const std::uint64_t before = world.simulator.events_processed();
+  const auto t0 = JsonClock::now();
+  while (world.simulator.events_processed() - before <
+         static_cast<std::uint64_t>(events)) {
+    world.simulator.run_until(world.simulator.now() + msec(1));
+  }
+  const auto t1 = JsonClock::now();
+  const auto ran =
+      static_cast<double>(world.simulator.events_processed() - before);
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() / ran;
+}
+
 double time_base_rtt_cached_ns(int calls) {
   auto world = make_geo_world(40);
   // Warm every pair so the steady-state number excludes first-touch cost.
@@ -421,6 +470,9 @@ int run_json(const std::string& path) {
   const double seed_rpc_allocs = 7.020;
   const double seed_sample_owd_ns = 50.6;
   const double seed_fault_lookup_ns = 573.1;
+  // time_two_lane_ns on the engine that re-bucketed the whole queue on
+  // every below-minimum schedule.
+  const double kParentTwoLaneNs = 34963.3;
 
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (!out) {
@@ -466,6 +518,18 @@ int run_json(const std::string& path) {
                seed_churn_ns / churn_ns);
   std::printf("cancel_churn: %.1f ns/op (%.2fx seed)\n", churn_ns,
               seed_churn_ns / churn_ns);
+
+  // Two-lane engine case; the parent figure is the same harness on the
+  // engine before partial re-bucketing, measured on the same 4-vCPU host
+  // right before the change.
+  const double two_lane_ns = best_of(5, time_two_lane_ns, 1'000'000);
+  std::fprintf(out,
+               "  \"simulator_two_lane\": {\"pending_timeouts\": 50000, "
+               "\"ns_per_event\": %.1f, \"parent_ns_per_event\": %.1f, "
+               "\"speedup_vs_parent\": %.2f},\n",
+               two_lane_ns, kParentTwoLaneNs, kParentTwoLaneNs / two_lane_ns);
+  std::printf("two_lane: %.1f ns/ev (%.2fx parent)\n", two_lane_ns,
+              kParentTwoLaneNs / two_lane_ns);
 
   const double rtt_ns = best_of(5, [](int calls) {
     return time_base_rtt_cached_ns(calls);

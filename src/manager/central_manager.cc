@@ -188,10 +188,11 @@ void CentralManager::set_observability(obs::TraceRecorder* trace,
 
 void CentralManager::note_expired(const std::vector<NodeId>& expired) {
   if (expirations_ != nullptr) expirations_->inc(expired.size());
-  if (sink_ != nullptr) {
-    for (const NodeId node : expired) {
-      sink_->on_expire(node, clock_->now());
-    }
+  for (const NodeId node : expired) {
+    // Re-read per node: an on_expire that fills a journal batch can fire
+    // a crash hook from its flush, and the crash detaches the sink.
+    if (sink_ == nullptr) break;
+    sink_->on_expire(node, clock_->now());
   }
   if (trace_ == nullptr) return;
   for (const NodeId node : expired) {

@@ -36,29 +36,49 @@ bool Simulator::cancel(EventId id) {
 }
 
 void Simulator::rebuild(std::uint64_t new_last_min) {
-  std::vector<Entry> all;
-  all.reserve(live_count_);
-  auto collect = [&](std::vector<Entry>& bucket, std::size_t begin) {
+  // Let `top` be the highest digit where the new minimum differs from
+  // last_min_ (it is lower there). Every queued entry below level `top`,
+  // and bucket 0, shares last_min_'s digits from `top` up, so relative to
+  // the new minimum they all fall into one bucket: (top, last_min_'s digit).
+  // That bucket is empty now (an entry matching last_min_ at digit `top`
+  // sits below level `top`). Entries at level `top` and above keep their
+  // place: their digit at their level exceeds last_min_'s, hence the new
+  // minimum's too. Appending whole buckets keeps FIFO ties intact, because
+  // equal times always share a bucket.
+  const int top =
+      (63 - std::countl_zero(new_last_min ^ last_min_)) / kDigitBits;
+  const auto top_digit =
+      static_cast<int>((last_min_ >> (top * kDigitBits)) & (kDigits - 1));
+  std::vector<Entry>& target = level_buckets_[top * kDigits + top_digit];
+  auto collect = [&](const std::vector<Entry>& bucket, std::size_t begin) {
     for (std::size_t i = begin; i < bucket.size(); ++i) {
       if (stale(bucket[i])) {
         --dead_in_queue_;
       } else {
-        all.push_back(bucket[i]);
+        target.push_back(bucket[i]);
       }
     }
-    bucket.clear();
   };
   collect(bucket0_, bucket0_cursor_);
-  for (auto& bucket : level_buckets_) {
-    if (!bucket.empty()) collect(bucket, 0);
-  }
+  bucket0_.clear();
   bucket0_cursor_ = 0;
-  level_mask_ = 0;
-  digit_mask_.fill(0);
+  for (int level = 0; level < top; ++level) {
+    std::uint64_t dm = digit_mask_[level];
+    while (dm != 0) {
+      const int digit = std::countr_zero(dm);
+      dm &= dm - 1;
+      std::vector<Entry>& bucket = level_buckets_[level * kDigits + digit];
+      collect(bucket, 0);
+      drain(bucket, level);
+    }
+    digit_mask_[level] = 0;
+    level_mask_ &= ~(1u << level);
+  }
+  if (!target.empty()) {
+    digit_mask_[top] |= 1ull << top_digit;
+    level_mask_ |= 1u << top;
+  }
   last_min_ = new_last_min;
-  // Equal times were co-located in one source bucket, so this per-bucket
-  // collection order keeps FIFO ties intact.
-  for (const Entry& e : all) push_entry(e.time, e.seq_slot);
 }
 
 void Simulator::sweep() {
@@ -81,6 +101,9 @@ void Simulator::sweep() {
       dm &= dm - 1;
       std::vector<Entry>& bucket = level_buckets_[level * kDigits + digit];
       filter(bucket, 0);
+      // An emptied bucket keeps its buffer: a coarse one is usually still
+      // receiving the timeouts being armed and cancelled; it is freed when
+      // the clock reaches it.
       if (bucket.empty()) digit_mask_[level] &= ~(1ull << digit);
     }
     if (digit_mask_[level] == 0) level_mask_ &= ~(1u << level);
@@ -100,7 +123,7 @@ bool Simulator::refill_bucket0() {
     // vector swap dance entirely, and start pulling the slot's cache line
     // while the pop loop comes back around.
     const Entry e = bucket.front();
-    bucket.clear();
+    drain(bucket, level);
     last_min_ = e.time;
     bucket0_.push_back(e);
     __builtin_prefetch(
@@ -128,12 +151,18 @@ bool Simulator::refill_bucket0() {
   last_min_ = best->time;
   // Pass 2: redistribute around the new minimum. Every entry lands
   // strictly below this level (the digit-`level` disagreement with the old
-  // last_min_ is resolved by the new one); stable appends preserve FIFO
+  // last_min_ is resolved by the new one), so the bucket is read in place
+  // rather than through a scratch buffer; stable appends preserve FIFO
   // order for equal times. The minimum itself lands in bucket 0.
-  moving_.swap(bucket);
-  for (const Entry& e : moving_) push_entry(e.time, e.seq_slot);
-  moving_.clear();
+  for (const Entry& e : bucket) push_entry(e.time, e.seq_slot);
+  drain(bucket, level);
   return true;
+}
+
+std::size_t Simulator::bucket_capacity() const {
+  std::size_t total = bucket0_.capacity();
+  for (const auto& bucket : level_buckets_) total += bucket.capacity();
+  return total;
 }
 
 bool Simulator::pop_one(SimTime limit) {

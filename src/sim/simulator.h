@@ -18,8 +18,21 @@
 //    Level-0 buckets hold a single timestamp each, so their refill is an
 //    O(1) vector swap. FIFO ties hold because equal times always share a
 //    bucket and appends are stable. The radix ordering relies on schedules
-//    never landing below the current minimum; schedule_at clamps to now()
-//    and triggers a full re-bucketing in the rare run_until() gap case.
+//    never landing below the current minimum. One can: after run_until()
+//    moved now() into a gap, and in every delivery-lane run, where each
+//    pop peeks the regular head (refilling bucket 0 up to it) and a
+//    delivery firing earlier then schedules below it. Such a schedule
+//    folds bucket 0 and the levels under the highest digit where the old
+//    and new minimum differ into one bucket, O(entries there), and leaves
+//    the higher levels alone; the gap is under one window, so in practice
+//    it touches levels 0-1 only.
+//  * Bucket storage: only bucket 0 and the level-0 buckets trade buffers
+//    (the refill swap); every other bucket keeps its own. A drained bucket
+//    at a coarse level (>= 3, whose digit comes round every 16.8 s) gives
+//    a buffer of more than 64 entries back when the clock reaches it, so
+//    coarse storage stays under twice what those buckets received since,
+//    plus at most 64 entries per coarse bucket; the bucket-0 and level 0-2
+//    buffers keep their capacity for reuse.
 //  * Cancellation tombstones are discarded when popped; a sweep runs once
 //    they outnumber live events, so cancel-heavy Periodic churn cannot
 //    accumulate dead entries (queued_entries() stays O(pending())).
@@ -125,6 +138,10 @@ class Simulator {
   [[nodiscard]] std::size_t queued_entries() const {
     return live_count_ + dead_in_queue_;
   }
+  // Diagnostics: queue entries' worth of storage the buckets hold, used
+  // or not. Bounded as the header comment's "Bucket storage" says; tests
+  // assert on it.
+  [[nodiscard]] std::size_t bucket_capacity() const;
 
  private:
   // Exactly one cache line: 48B inline callback storage + ops pointer +
@@ -159,6 +176,9 @@ class Simulator {
   static constexpr int kDigitBits = 6;
   static constexpr int kDigits = 1 << kDigitBits;         // 64
   static constexpr int kLevels = (63 + kDigitBits) / kDigitBits;  // 11
+  // First coarse level. A level-2 digit comes round every 262 ms, often
+  // enough that freeing its buffer only means growing it again.
+  static constexpr int kCoarseLevel = 3;
 
   [[nodiscard]] Slot& slot(std::uint32_t index) {
     return chunks_[index >> kChunkBits][index & (kChunkSize - 1)];
@@ -214,11 +234,11 @@ class Simulator {
   std::uint32_t prepare_slot(SimTime t) {
     if (t < now_) t = now_;
     const auto time = static_cast<std::uint64_t>(t);
-    // run_until() can advance now() past the last popped batch, leaving
-    // last_min_ at a future event time; a schedule into that gap must
+    // last_min_ can sit above now(): run_until() advances now() past the
+    // last popped batch, and in delivery-lane runs every pop peeks the
+    // regular head before a delivery fires. A schedule into that gap must
     // lower last_min_ so the radix ordering invariant (every queued time
-    // >= last_min_) keeps holding. Happens only between run calls, never
-    // inside the event loop (callbacks schedule at >= now() == last_min_).
+    // >= last_min_) keeps holding.
     if (time < last_min_) [[unlikely]] {
       rebuild(time);
     }
@@ -231,11 +251,25 @@ class Simulator {
     return index;
   }
   void grow_slab();
-  // Re-bucket every queued entry around a lowered last_min_. Needed only
-  // when an event is scheduled below the current bucket-0 time — possible
-  // after run_until() advanced the clock into a gap before the next batch
-  // — so it runs at interaction boundaries, never in the pop hot path.
+  // Re-bucket around a lowered last_min_: bucket 0 and the levels below
+  // the highest digit where the old and new minimum differ fold into one
+  // bucket at that digit; higher levels stay as they are.
   void rebuild(std::uint64_t new_last_min);
+  // Empty a bucket that has just been drained. Fine levels keep their
+  // buffer for the next fill; coarse ones give a buffer of more than
+  // kDigits entries back, because a coarse (level, digit) comes round
+  // again only every 16.8 s of simulated time and a big buffer parked
+  // there would pin storage for the rest of the run. Keeping the small
+  // ones (at most 8 x 64 x 64 entries, 512 KiB, in all) spares the 7
+  // allocations of regrowing each, as a batch of timeouts that is armed,
+  // cancelled and drained again and again would.
+  static void drain(std::vector<Entry>& bucket, int level) {
+    if (level < kCoarseLevel || bucket.capacity() <= kDigits) {
+      bucket.clear();
+    } else {
+      std::vector<Entry>().swap(bucket);
+    }
+  }
   // Redistribute the lowest non-empty bucket around its minimum; returns
   // false when the queue is empty.
   bool refill_bucket0();
@@ -277,7 +311,6 @@ class Simulator {
   std::size_t bucket0_cursor_{0};
   std::vector<Entry> bucket0_;    // entries with time == last_min_
   std::array<std::vector<Entry>, kLevels * kDigits> level_buckets_;
-  std::vector<Entry> moving_;     // scratch for redistribution (recycled)
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_{0};
   std::uint32_t free_head_{kNoFreeSlot};

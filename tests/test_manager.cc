@@ -353,5 +353,47 @@ TEST(CentralManager, HeartbeatRefreshesFreshness) {
   EXPECT_EQ(manager.live_nodes(), 1u);
 }
 
+// A sink whose first on_expire detaches it, as a crash fired from a
+// batch-full journal flush does: the rest of the expiry loop must see the
+// null sink instead of calling through it.
+class DetachingSink final : public RegistryMutationSink {
+ public:
+  explicit DetachingSink(CentralManager& manager) : manager_(&manager) {}
+  void on_register(const net::NodeStatus&, SimTime, bool) override {}
+  void on_heartbeat(const net::NodeStatus&, SimTime) override {}
+  void on_leave(NodeId, SimTime) override {}
+  void on_expire(NodeId, SimTime) override {
+    ++expires;
+    manager_->set_mutation_sink(nullptr);
+  }
+  void on_epoch(NodeId, std::uint64_t, bool, SimTime) override {}
+  void commit(SimTime) override {}
+
+  int expires{0};
+
+ private:
+  CentralManager* manager_;
+};
+
+TEST(CentralManager, SinkDetachedMidExpiryIsNotCalledAgain) {
+  sim::Simulator simulator;
+  sim::SimScheduler clock(simulator);
+  CentralManager manager(clock, {}, sec(3.0));
+  DetachingSink sink(manager);
+  manager.set_mutation_sink(&sink);
+  for (std::uint32_t id = 1; id <= 4; ++id) {
+    manager.handle_register(make_status(id, "9zvxvf"));
+  }
+  simulator.run_until(sec(10));  // all four expire on the next query
+
+  net::DiscoveryRequest req;
+  req.client = ClientId{50};
+  req.geohash = "9zvxvf";
+  req.top_n = 5;
+  EXPECT_TRUE(manager.handle_discover(req).candidates.empty());
+  EXPECT_EQ(sink.expires, 1);
+  EXPECT_EQ(manager.live_nodes(), 0u);
+}
+
 }  // namespace
 }  // namespace eden::manager

@@ -3,11 +3,11 @@
 # run the full ctest suite on both. This is what CI runs; locally it is the
 # strictest pre-commit gate (the tier-1 tree in build/ is a subset).
 #
-# Usage: tools/check.sh [jobs]      (default: 2 parallel compile jobs)
+# Usage: tools/check.sh [jobs]      (default: one compile job per core)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-JOBS="${1:-2}"
+JOBS="${1:-$(nproc)}"
 
 for preset in release asan; do
   echo "=== [$preset] configure ==="
