@@ -5,7 +5,6 @@
 
 namespace eden::geo {
 namespace {
-constexpr double kEarthRadiusKm = 6371.0088;
 constexpr double kKmPerMile = 1.609344;
 
 double radians(double deg) { return deg * std::numbers::pi / 180.0; }

@@ -3,6 +3,10 @@
 
 namespace eden::geo {
 
+// Mean Earth radius (km) of the sphere every distance in EDEN is measured
+// on; anything that bounds haversine_km must use the same sphere.
+inline constexpr double kEarthRadiusKm = 6371.0088;
+
 struct GeoPoint {
   double lat{0};  // degrees, [-90, 90]
   double lon{0};  // degrees, [-180, 180)

@@ -151,7 +151,9 @@ void CentralManager::handle_discover(const net::DiscoveryRequest& request,
                       static_cast<double>(hot)});
     }
   }
-  selector_.select_into(request, registry_, out, now, hot > 0);
+  const std::size_t scanned =
+      selector_.select_into(request, registry_, out, now, hot > 0);
+  if (select_scanned_ != nullptr) select_scanned_->inc(scanned);
 }
 
 int CentralManager::cell_hot(const net::DiscoveryRequest& request,
@@ -184,6 +186,9 @@ void CentralManager::set_observability(obs::TraceRecorder* trace,
                          : nullptr;
   cell_sheds_ =
       metrics != nullptr ? &metrics->counter("manager.cell_sheds") : nullptr;
+  select_scanned_ = metrics != nullptr
+                        ? &metrics->counter("manager.select_scanned")
+                        : nullptr;
 }
 
 void CentralManager::note_expired(const std::vector<NodeId>& expired) {

@@ -177,6 +177,7 @@ class CentralManager {
   obs::Counter* rejoins_{nullptr};
   obs::Counter* overload_enters_{nullptr};
   obs::Counter* cell_sheds_{nullptr};
+  obs::Counter* select_scanned_{nullptr};
 };
 
 }  // namespace eden::manager

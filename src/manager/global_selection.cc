@@ -203,18 +203,20 @@ net::DiscoveryResponse GlobalSelector::select(
   return response;
 }
 
-void GlobalSelector::select_into(const net::DiscoveryRequest& request,
-                                 Registry& registry,
-                                 net::DiscoveryResponse& out, SimTime now,
-                                 bool shed_to_cloud) const {
+std::size_t GlobalSelector::select_into(const net::DiscoveryRequest& request,
+                                        Registry& registry,
+                                        net::DiscoveryResponse& out,
+                                        SimTime now,
+                                        bool shed_to_cloud) const {
   const int top_n = std::max(1, request.top_n);
   const auto user_center = geo::geohash_decode_center(request.geohash);
 
   // Same widening filter as the linear overload, but each radius step only
-  // visits registry buckets that can intersect the search disc (plus the
+  // visits registry entries that can lie inside the search disc (plus the
   // no-geohash fallback bucket); the exact per-node check is unchanged, so
   // the qualified set — and therefore the response — is byte-identical.
   auto& qualified = qualified_scratch_;
+  std::size_t scanned = 0;
   for (std::size_t ri = 0; ri < std::size(kRadiiKm); ++ri) {
     const double radius = kRadiiKm[ri];
     const int needed =
@@ -229,6 +231,7 @@ void GlobalSelector::select_into(const net::DiscoveryRequest& request,
             bool in_range = false;
             double user_km = -1.0;
             if (center) {
+              ++scanned;
               user_km = geo::haversine_km(*user_center, *center);
               in_range = user_km <= radius;
             } else {
@@ -263,6 +266,7 @@ void GlobalSelector::select_into(const net::DiscoveryRequest& request,
     }
   }
   rank(request, qualified, now, shed_to_cloud, out);
+  return scanned;
 }
 
 }  // namespace eden::manager

@@ -6,6 +6,7 @@
 // only needs to be "high tolerance to inaccuracy and mismatch" (§IV-B).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -64,10 +65,12 @@ class GlobalSelector {
   // Out-parameter variant of the index-backed overload: fills `out`
   // (clearing its candidate list first) so a caller-owned response's
   // capacity is reused across queries — the live manager's discovery hot
-  // path performs no per-query allocation at steady state.
-  void select_into(const net::DiscoveryRequest& request, Registry& registry,
-                   net::DiscoveryResponse& out, SimTime now = 0,
-                   bool shed_to_cloud = false) const;
+  // path performs no per-query allocation at steady state. Returns how
+  // many entries the exact distance test examined, over every widening
+  // step (the cost the registry's pre-filter exists to keep small).
+  std::size_t select_into(const net::DiscoveryRequest& request,
+                          Registry& registry, net::DiscoveryResponse& out,
+                          SimTime now = 0, bool shed_to_cloud = false) const;
 
   // Linear-scan selection over a materialized entry list (tests, ablation
   // studies, equivalence checks).

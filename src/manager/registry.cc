@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace eden::manager {
 
 namespace {
 
-// Matches the sphere used by geo::haversine_km, so the bucket bound below
-// is valid for the same metric.
-constexpr double kKmPerDegree = 6371.0088 * std::numbers::pi / 180.0;
+constexpr double kKmPerDegree = geo::kEarthRadiusKm * std::numbers::pi / 180.0;
 
 // Upper bound on the great-circle distance from the cell center to any
 // point of the cell: meridian leg (latitude half-span) plus a parallel leg
@@ -29,6 +28,26 @@ double cell_radius_bound_km(const geo::GeoBox& box) {
 
 }  // namespace
 
+Registry::UnitVector Registry::unit_vector(const geo::GeoPoint& p) {
+  const double lat = p.lat * std::numbers::pi / 180.0;
+  const double lon = p.lon * std::numbers::pi / 180.0;
+  return {std::cos(lat) * std::cos(lon), std::cos(lat) * std::sin(lon),
+          std::sin(lat)};
+}
+
+double Registry::chord2_bound(double radius_km) {
+  const double half_angle = radius_km / (2.0 * geo::kEarthRadiusKm);
+  if (half_angle >= std::numbers::pi / 2.0) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const double chord = 2.0 * std::sin(half_angle);
+  // Unit-vector components and haversine_km each carry a few ulps of
+  // rounding; the relative pad dwarfs it at any radius the selector uses,
+  // and the absolute one covers chords so short that differences of
+  // O(1) components dominate their error.
+  return chord * chord * (1.0 + 1e-9) + 1e-15;
+}
+
 void Registry::index_insert(NodeId /*id*/, Slot& slot) {
   slot.center = geo::geohash_decode_center(slot.entry.status.geohash);
   if (!slot.center) {
@@ -39,6 +58,7 @@ void Registry::index_insert(NodeId /*id*/, Slot& slot) {
     return;
   }
   slot.fallback = false;
+  slot.unit = unit_vector(*slot.center);
   const std::string& hash = slot.entry.status.geohash;
   slot.bucket_key = hash.substr(
       0, std::min<std::size_t>(hash.size(), kBucketPrecision));

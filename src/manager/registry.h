@@ -5,10 +5,11 @@
 //
 // Scale architecture: entries are spatially indexed by truncated-geohash
 // buckets (nodes whose hash does not decode land in a fallback bucket), so
-// discovery queries visit candidate buckets instead of every node, and a
-// deadline min-heap makes expire() proportional to the number of nodes that
-// actually time out, not the registry size. snapshot() survives as a
-// copying compatibility shim; hot paths use the copy-free visitation API.
+// discovery queries visit only the entries of candidate buckets that can be
+// in range, not every node, and a deadline min-heap makes expire()
+// proportional to the number of nodes that actually time out, not the
+// registry size. snapshot() survives as a copying compatibility shim; hot
+// paths use the copy-free visitation API.
 #pragma once
 
 #include <map>
@@ -122,31 +123,52 @@ class Registry {
     }
   }
 
-  // Every live entry that could lie within `radius_km` of `center`
-  // (a conservative superset: buckets are pruned by a lower bound on the
-  // distance from `center` to any point of the bucket cell, and entries
-  // with no usable geohash are always visited). Callers apply the exact
-  // per-entry check themselves.
+  // Every live entry that could lie within `radius_km` of `center`: a
+  // conservative superset, pruned at two levels. Buckets go by a lower
+  // bound on the distance from `center` to any point of the bucket cell.
+  // Entries in a surviving bucket go by the chord between their cell
+  // center and `center` (unit vectors on the haversine sphere): chord
+  // length is monotone in great-circle distance, so an entry is skipped
+  // only when its squared chord exceeds (2·sin(r / 2R))² padded by a
+  // relative 1e-9 and an absolute 1e-15 — far above the rounding of
+  // either formula, so nothing haversine_km puts within `radius_km` is
+  // ever skipped. The entry test is off once r / 2R ≥ π/2 (the bound
+  // covers the whole sphere). Entries with no usable geohash are always
+  // visited. Callers apply the exact per-entry check themselves; since
+  // the pre-filter only drops entries that check rejects, the qualified
+  // set — and every answer built from it — is unchanged.
   template <typename Visitor>
   void for_each_candidate(const geo::GeoPoint& center, double radius_km,
                           SimTime now, Visitor&& visit) {
     expire(now);
+    const UnitVector q = unit_vector(center);
+    const double max_chord2 = chord2_bound(radius_km);
     for (const auto& [key, bucket] : buckets_) {
       if (geo::haversine_km(center, bucket.center) >
           radius_km + bucket.radius_km) {
         continue;  // no point of this cell can be within radius_km
       }
-      for (const Slot* slot : bucket.slots) visit(slot->entry, slot->center);
+      for (const Slot* slot : bucket.slots) {
+        const double dx = slot->unit.x - q.x;
+        const double dy = slot->unit.y - q.y;
+        const double dz = slot->unit.z - q.z;
+        if (dx * dx + dy * dy + dz * dz > max_chord2) continue;
+        visit(slot->entry, slot->center);
+      }
     }
     for (const Slot* slot : fallback_) visit(slot->entry, slot->center);
   }
 
  private:
+  struct UnitVector {
+    double x{0}, y{0}, z{0};
+  };
   struct Slot {
     RegistryEntry entry;
     // Cell center of the full geohash; nullopt when it does not decode
     // (then the node lives in the fallback bucket).
     std::optional<geo::GeoPoint> center;
+    UnitVector unit;  // `center` on the unit sphere; unused for fallback
     std::string bucket_key;     // key into buckets_; unused for fallback
     std::uint32_t bucket_pos{0};
     bool fallback{false};
@@ -167,6 +189,11 @@ class Registry {
     return s.size() >= prefix.size() &&
            std::string_view(s).substr(0, prefix.size()) == prefix;
   }
+
+  static UnitVector unit_vector(const geo::GeoPoint& p);
+  // Padded squared chord of a `radius_km` great-circle arc; +inf once the
+  // arc reaches half the globe.
+  static double chord2_bound(double radius_km);
 
   void index_insert(NodeId id, Slot& slot);
   void index_remove(const Slot& slot);

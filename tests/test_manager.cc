@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <optional>
+#include <set>
 #include <string_view>
 #include <vector>
 
+#include "common/rng.h"
 #include "geo/geohash.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/clock.h"
 
@@ -164,6 +169,97 @@ TEST(Registry, VisitorSeesDecodedCenterOnlyForValidHashes) {
       [&](const RegistryEntry& entry, const std::optional<geo::GeoPoint>& c) {
         EXPECT_EQ(c.has_value(), entry.status.node == NodeId{1});
       });
+}
+
+// The point `km` along the great circle leaving `from` at `bearing` (rad),
+// on the sphere haversine_km measures; longitude wrapped into [-180, 180).
+geo::GeoPoint destination(const geo::GeoPoint& from, double bearing,
+                          double km) {
+  constexpr double kRad = std::numbers::pi / 180.0;
+  const double d = km / geo::kEarthRadiusKm;
+  const double lat1 = from.lat * kRad;
+  const double lat2 =
+      std::asin(std::sin(lat1) * std::cos(d) +
+                std::cos(lat1) * std::sin(d) * std::cos(bearing));
+  const double dlon =
+      std::atan2(std::sin(bearing) * std::sin(d) * std::cos(lat1),
+                 std::cos(d) - std::sin(lat1) * std::sin(lat2));
+  double lon = from.lon + dlon / kRad;
+  lon = std::fmod(lon + 540.0, 360.0) - 180.0;
+  return {lat2 / kRad, lon};
+}
+
+TEST(Registry, CandidateDiscKeepsEveryEntryAtTheBoundary) {
+  // Rings of entries at r and 2r around random centers, polar ones and
+  // ones straddling the ±180° meridian. Radii are re-derived from each
+  // entry's decoded cell center, so an entry sits at exactly r or
+  // r·(1 ± 1e-12) as haversine_km measures it: every one must be visited.
+  // The 2r ring must be skipped (bucket pruning alone would visit the
+  // nearer of them), radius 1e9 visits everything, and entries with no
+  // usable geohash are visited by every query.
+  Rng rng(1020);
+  std::vector<geo::GeoPoint> query_centers = {
+      {89.9, 12.0}, {-89.9, -170.0}, {0.0, 179.995}, {-33.9, -179.999},
+      {60.0, -180.0}, {0.0, 0.0}};
+  for (int i = 0; i < 6; ++i) {
+    query_centers.push_back(
+        {rng.uniform(-80.0, 80.0), rng.uniform(-180.0, 180.0)});
+  }
+  constexpr int kBearings = 16;
+  for (const geo::GeoPoint& center : query_centers) {
+    for (const double r : {10.0, 25.0, 60.0, 150.0}) {
+      Registry registry(sec(30.0));
+      std::vector<std::pair<NodeId, double>> ring;  // id, exact distance
+      std::set<std::uint32_t> far;
+      std::uint32_t id = 1;
+      for (int b = 0; b < kBearings; ++b) {
+        const double bearing =
+            2.0 * std::numbers::pi * (b + rng.uniform()) / kBearings;
+        const std::string near_hash =
+            geo::geohash_encode(destination(center, bearing, r), 12);
+        registry.upsert(make_status(id, near_hash), 0);
+        ring.emplace_back(
+            NodeId{id++},
+            geo::haversine_km(center, *geo::geohash_decode_center(near_hash)));
+        far.insert(id);
+        registry.upsert(
+            make_status(id++, geo::geohash_encode(
+                                  destination(center, bearing, 2.0 * r), 12)),
+            0);
+      }
+      const std::uint32_t no_hash = id++;
+      const std::uint32_t bad_hash = id++;
+      registry.upsert(make_status(no_hash, ""), 0);
+      registry.upsert(make_status(bad_hash, "9zvxaa"), 0);
+
+      const auto visited = [&](double radius) {
+        std::set<std::uint32_t> ids;
+        registry.for_each_candidate(
+            center, radius, 0,
+            [&](const RegistryEntry& entry, const auto& /*center*/) {
+              ids.insert(entry.status.node.value);
+            });
+        return ids;
+      };
+      for (const auto& [node, km] : ring) {
+        for (const double radius :
+             {km, km / (1.0 + 1e-12), km / (1.0 - 1e-12)}) {
+          const auto ids = visited(radius);
+          EXPECT_TRUE(ids.contains(node.value))
+              << "center " << center.lat << "," << center.lon << " r " << r
+              << " node " << node.value << " radius " << radius;
+          EXPECT_TRUE(ids.contains(no_hash) && ids.contains(bad_hash));
+        }
+      }
+      const auto ids = visited(r);
+      for (const std::uint32_t f : far) {
+        EXPECT_FALSE(ids.contains(f)) << "center " << center.lat << ","
+                                      << center.lon << " r " << r << " node "
+                                      << f;
+      }
+      EXPECT_EQ(visited(1e9).size(), registry.size());
+    }
+  }
 }
 
 class GlobalSelectionTest : public ::testing::Test {
@@ -351,6 +447,37 @@ TEST(CentralManager, HeartbeatRefreshesFreshness) {
   manager.handle_heartbeat(make_status(1, "9zvxvf"));
   simulator.run_until(sec(4));  // 2s since last heartbeat < 3s TTL
   EXPECT_EQ(manager.live_nodes(), 1u);
+}
+
+TEST(CentralManager, SelectScannedCountsExactDistanceTests) {
+  // One inc per discovery, by the entries whose exact distance the
+  // selector computed: two located nodes in range, one without a geohash
+  // (prefix-matched, not measured), one 300 km out that the registry never
+  // hands over. Detached metrics count nothing.
+  sim::Simulator simulator;
+  sim::SimScheduler clock(simulator);
+  CentralManager manager(clock, {}, sec(30.0));
+  obs::MetricsRegistry metrics;
+  manager.set_observability(nullptr, &metrics);
+  manager.handle_register(make_status(1, "9zvxvf"));
+  manager.handle_register(make_status(2, "9zvxvg"));
+  manager.handle_register(make_status(3, ""));
+  manager.handle_register(make_status(
+      4, geo::geohash_encode(destination(*geo::geohash_decode_center("9zvxvf"),
+                                         0.0, 300.0),
+                             6)));
+  net::DiscoveryRequest req;
+  req.client = ClientId{50};
+  req.geohash = "9zvxvf";
+  req.top_n = 1;
+  const obs::Counter& scanned = metrics.counter("manager.select_scanned");
+  EXPECT_EQ(manager.handle_discover(req).candidates.size(), 1u);
+  EXPECT_EQ(scanned.value(), 2u);
+  EXPECT_EQ(metrics.snapshot().counters.count("manager.select_scanned"), 1u);
+
+  manager.set_observability(nullptr, nullptr);
+  EXPECT_EQ(manager.handle_discover(req).candidates.size(), 1u);
+  EXPECT_EQ(scanned.value(), 2u);
 }
 
 // A sink whose first on_expire detaches it, as a crash fired from a

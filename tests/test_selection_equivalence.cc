@@ -14,6 +14,9 @@
 #include "geo/geohash.h"
 #include "harness/experiments.h"
 #include "manager/central_manager.h"
+#include "obs/metrics.h"
+#include "sim/clock.h"
+#include "sim/simulator.h"
 
 // This suite exists to pin the indexed pipeline against the deprecated
 // copying shim — calling snapshot() here is the whole point.
@@ -139,6 +142,57 @@ TEST(SelectionEquivalence, AllNodesWithoutUsableGeohash) {
     request.top_n = 5;
     expect_identical(selector.select(request, registry.snapshot(sec(1)), sec(1)),
                      selector.select(request, registry, sec(1)));
+  }
+}
+
+TEST(SelectionEquivalence, MetroDensityScansOnlyWhatQualifies) {
+  // metro_fleet density: 3,000 located nodes within 45 km, 500 requests
+  // within 40 km, TopN 3 — enough nodes inside the first 10 km radius that
+  // no query widens. The manager's answers must match the linear scan
+  // byte for byte, and the entries its exact distance test examines
+  // (manager.select_scanned) must stay close to the ones that qualify.
+  constexpr double kFirstRadiusKm = 10.0;  // the selector's first step
+  sim::Simulator simulator;
+  sim::SimScheduler clock(simulator);
+  CentralManager manager(clock);
+  obs::MetricsRegistry metrics;
+  manager.set_observability(nullptr, &metrics);
+  Rng rng(20261020);
+  std::vector<geo::GeoPoint> centers;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    net::NodeStatus status = random_status(1000 + i, rng);
+    status.geohash = geo::geohash_encode(
+        harness::random_point_near(kMetroCenter, 45.0, rng), 6);
+    status.is_cloud = false;
+    status.app_types.clear();
+    centers.push_back(*geo::geohash_decode_center(status.geohash));
+    manager.handle_register(status);
+  }
+  const obs::Counter& scanned = metrics.counter("manager.select_scanned");
+  const SimTime now = clock.now();
+  for (std::uint32_t q = 0; q < 500; ++q) {
+    net::DiscoveryRequest request = random_request(q, rng);
+    request.geohash = geo::geohash_encode(
+        harness::random_point_near(kMetroCenter, 40.0, rng), 6);
+    request.top_n = 3;
+    request.app_type.clear();
+    const geo::GeoPoint user = *geo::geohash_decode_center(request.geohash);
+    std::size_t qualified = 0;
+    for (const geo::GeoPoint& c : centers) {
+      if (geo::haversine_km(user, c) <= kFirstRadiusKm) ++qualified;
+    }
+    ASSERT_GE(qualified, 6u) << "query " << q << " would widen";
+
+    const auto legacy = manager.selector().select(
+        request, manager.registry().snapshot(now), now);
+    const std::uint64_t before = scanned.value();
+    const auto indexed = manager.handle_discover(request);
+    expect_identical(legacy, indexed);
+    const std::uint64_t examined = scanned.value() - before;
+    EXPECT_GE(examined, qualified) << "query " << q;
+    EXPECT_LE(static_cast<double>(examined),
+              1.5 * static_cast<double>(qualified))
+        << "query " << q;
   }
 }
 
